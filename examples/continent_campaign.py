@@ -3,9 +3,9 @@
 Generates a 5 000-AS power-law Internet with Gao-Rexford routing and
 background traffic, injects one fault per episode (delay, loss, or
 blackhole — each confined to its episode's time window), and localizes
-all of them with the vectorized campaign engine — serially, then
-region-sharded over a process pool, checking the two runs are
-bit-identical. Also runs a small event-driven slice to show the
+all of them with the vectorized campaign engine — then reruns the
+campaign on a scenario rebuilt from the same config, checking the two
+runs are bit-identical. Also runs a small event-driven slice to show the
 engines agree measurement-for-measurement.
 
 Run:  python examples/continent_campaign.py [n_ases] [episodes]
@@ -49,22 +49,21 @@ def main() -> None:
         "one windowed fault each\n"
     )
 
-    serial = run_campaign(scenario, workers=0)
+    campaign = run_campaign(scenario)
     print(
-        f"serial fast path:  {serial.wall_seconds:6.2f}s  "
-        f"accuracy {serial.accuracy:.0%}  "
-        f"{serial.measurements} measurements ({serial.probes_sent} probes)"
+        f"fast path:         {campaign.wall_seconds:6.2f}s  "
+        f"accuracy {campaign.accuracy:.0%}  "
+        f"{campaign.measurements} measurements ({campaign.probes_sent} probes)"
     )
 
-    sharded = run_campaign(build_continent(config), workers=2)
+    rerun = run_campaign(build_continent(config))
     print(
-        f"region-sharded:    {sharded.wall_seconds:6.2f}s  "
-        f"accuracy {sharded.accuracy:.0%}  "
-        f"pool of {sharded.workers}"
+        f"rebuilt rerun:     {rerun.wall_seconds:6.2f}s  "
+        f"accuracy {rerun.accuracy:.0%}"
     )
-    match = serial.digest == sharded.digest
+    match = campaign.digest == rerun.digest
     print(f"digest equality:   {'BIT-IDENTICAL' if match else 'MISMATCH'} "
-          f"({serial.digest[:16]})\n")
+          f"({campaign.digest[:16]})\n")
     if not match:
         raise SystemExit(1)
 
@@ -72,7 +71,7 @@ def main() -> None:
     # episodes (VM probing at full scale would take minutes).
     slice_config = replace(config, episodes=min(4, episodes))
     event = run_event_baseline(build_continent(slice_config))
-    fast_slice = run_campaign(build_continent(slice_config), workers=0)
+    fast_slice = run_campaign(build_continent(slice_config))
     agree = event.measurements == fast_slice.measurements
     print(
         f"event-driven slice ({slice_config.episodes} episodes): "
@@ -85,7 +84,7 @@ def main() -> None:
     )
 
     by_strategy: dict[str, list] = {}
-    for row in serial.rows:
+    for row in campaign.rows:
         by_strategy.setdefault(row["strategy"], []).append(row)
     print("\nper-strategy curves (accuracy / probe cost / convergence):")
     for strategy in sorted(by_strategy):

@@ -298,7 +298,6 @@ def _cmd_wanbench(args: argparse.Namespace) -> int:
         episodes=args.episodes,
         regions=args.regions,
         strategy=args.strategy,
-        workers=args.workers,
         traffic=not args.no_traffic,
     )
     summary = run_wanbench(config, modes=modes)
@@ -329,11 +328,6 @@ def _cmd_wanbench(args: argparse.Namespace) -> int:
     if "speedup_fast_over_event" in summary:
         print(f"fast-path speedup over event-driven: "
               f"{summary['speedup_fast_over_event']:.1f}x")
-    if "digest_match" in summary:
-        verdict = "MATCH" if summary["digest_match"] else "MISMATCH"
-        print(f"serial vs sharded digest: {verdict}")
-        if not summary["digest_match"]:
-            return 1
     return 0
 
 
@@ -1072,21 +1066,18 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "wanbench",
-        help="continent-scale localization campaign: event vs fast vs sharded",
+        help="continent-scale localization campaign: event vs fast",
     )
     p.add_argument("--ases", type=int, default=1000,
                    help="topology size (power-law Gao-Rexford Internet)")
     p.add_argument("--episodes", type=int, default=40,
-                   help="concurrent localization episodes")
+                   help="localization episodes")
     p.add_argument("--regions", type=int, default=5,
-                   help="AS regions (the sharding domains)")
+                   help="AS regions (intra- vs inter-region link delays)")
     p.add_argument("--strategy", default="mixed",
                    choices=["mixed", "binary", "linear", "exhaustive"])
-    p.add_argument("--modes", default="fast,sharded",
-                   help="comma-separated engines to run "
-                        "(event, fast, sharded)")
-    p.add_argument("--workers", type=int, default=0,
-                   help="sharded-mode pool size (0 = all cores)")
+    p.add_argument("--modes", default="fast",
+                   help="comma-separated engines to run (event, fast)")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--no-traffic", action="store_true",
                    help="skip the background traffic matrix")

@@ -8,7 +8,9 @@ It duck-types the surface :class:`~repro.core.localization.FaultLocalizer`
 uses (``network``, ``measure_sync``, measurement ``ok`` /
 ``loss_rate()`` / ``mean_rtt_ms()``), so
 ``FaultLocalizer(FastSegmentProber(network))`` runs any strategy on the
-fast path unchanged — same plans, same judge, same report shape.
+fast path unchanged — same plans, same judge, same report shape. The
+campaign engine (:mod:`repro.perf.shardloop`) calls :meth:`measure_at`
+directly, placing each measurement in its episode's time window.
 
 Contract (inherited from PR 1, extended in PR 10): statistically
 equivalent to the event-driven reference — per-measurement loss and mean
@@ -81,9 +83,9 @@ class FastSegmentProber:
     Each measurement derives an independent RNG stream from
     ``(seed, label, sequence-number-or-explicit-labels)`` via the
     standard ``derive_seed`` scheme, so results are a pure function of
-    the request — the property the sharded campaign engine relies on for
-    bit-identical serial/parallel execution (it passes explicit
-    ``seed_labels`` to decouple streams from issue order).
+    the request. The campaign engine passes explicit ``seed_labels``
+    ``(episode, step)`` so that each episode's results are independent of
+    which other episodes run and in what order.
     """
 
     def __init__(
@@ -123,11 +125,7 @@ class FastSegmentProber:
         start: float | None = None,
         seed_labels: tuple = (),
     ) -> ProbeCell:
-        """Extract the measurement as a picklable cell (not yet simulated).
-
-        The sharded campaign loop calls this on the controller and ships
-        the cell to a worker; ``measure_sync`` uses it inline.
-        """
+        """Extract the measurement as a cell (not yet simulated)."""
         count = self.probes if probes is None else probes
         sim = self.network.simulator
         # Server-side warmup offset, as in SegmentProber.measure().
@@ -177,6 +175,36 @@ class FastSegmentProber:
 
     # ---------------------------------------------------------- measuring
 
+    def measure_at(
+        self,
+        client: Vantage,
+        server: Vantage,
+        segment: PathSegment,
+        *,
+        protocol: Protocol = Protocol.UDP,
+        probes: int | None = None,
+        start: float | None = None,
+        seed_labels: tuple = (),
+    ) -> FastSegmentMeasurement:
+        """Simulate one measurement starting at ``start`` (default: now).
+
+        Leaves the sim clock alone: the result is a pure function of the
+        arguments and the network's channel state.
+        """
+        cell = self.build_cell(
+            client,
+            server,
+            segment,
+            protocol=protocol,
+            probes=probes,
+            start=start,
+            seed_labels=seed_labels,
+        )
+        send_times, rtts = simulate_cell_arrays(cell)
+        return self.measurement_from_arrays(
+            cell, client, server, segment, send_times, rtts
+        )
+
     def measure_sync(
         self,
         client: Vantage,
@@ -193,7 +221,7 @@ class FastSegmentProber:
         pumping, so strategy ``time_to_locate`` accounting stays
         comparable between engines.
         """
-        cell = self.build_cell(
+        measurement = self.measure_at(
             client,
             server,
             segment,
@@ -202,10 +230,6 @@ class FastSegmentProber:
             seed_labels=seed_labels,
         )
         self.measurements_run += 1
-        send_times, rtts = simulate_cell_arrays(cell)
-        measurement = self.measurement_from_arrays(
-            cell, client, server, segment, send_times, rtts
-        )
         sim = self.network.simulator
         if measurement.finished_at > sim.now:
             sim.run(until=measurement.finished_at)

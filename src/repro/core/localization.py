@@ -14,7 +14,9 @@ Implements the paper's measurement-selection strategies (§IV-B, §VI-D):
 A :class:`FaultJudge` compares each measurement against a baseline
 expectation (analytic from the topology, or calibrated), and the localizer
 returns a report with suspects, the measurements spent, and time-to-locate
-— the §VI-D cost/time trade-off.
+— the §VI-D cost/time trade-off. The vantage and location helpers below
+are shared with the campaign engine (:mod:`repro.perf.shardloop`), which
+drives the same plans on the vectorized fast path.
 """
 
 from __future__ import annotations
@@ -30,6 +32,44 @@ from repro.netsim.faults import FaultLocation
 from repro.netsim.packet import Protocol
 from repro.netsim.topology import Topology
 from repro.pathaware.segments import PathSegment
+
+
+def client_vantage(path: PathSegment, index: int) -> Vantage:
+    """The probing-side vantage at on-path AS ``index`` (egress first)."""
+    hop = path.hops[index]
+    interface = hop.egress if hop.egress is not None else hop.ingress
+    if interface is None:
+        raise ConfigurationError(f"AS {hop.asn} has no on-path interface")
+    return (hop.asn, interface)
+
+
+def server_vantage(path: PathSegment, index: int) -> Vantage:
+    """The echoing-side vantage at on-path AS ``index`` (ingress first)."""
+    hop = path.hops[index]
+    interface = hop.ingress if hop.ingress is not None else hop.egress
+    if interface is None:
+        raise ConfigurationError(f"AS {hop.asn} has no on-path interface")
+    return (hop.asn, interface)
+
+
+def location_for(path: PathSegment, spec: SuspectSpec) -> FaultLocation:
+    """Resolve a plan's suspect spec to a concrete location on ``path``."""
+    kind, index = spec
+    if kind == "link":
+        egress, ingress = path.inter_domain_links()[index]
+        return FaultLocation(link=(egress, ingress))
+    return FaultLocation(asn=path.hops[index].asn)
+
+
+def location_matches(suspect: FaultLocation, truth: FaultLocation) -> bool:
+    """Does ``suspect`` name ``truth`` (a link matches either way)?"""
+    if suspect == truth:
+        return True
+    return (
+        suspect.link is not None
+        and truth.link is not None
+        and set(suspect.link) == set(truth.link)
+    )
 
 
 def estimate_baseline_rtt(
@@ -123,16 +163,7 @@ class LocalizationReport:
 
     def found(self, location: FaultLocation) -> bool:
         """Did the report name ``location`` (link matched either way)?"""
-        for suspect in self.suspects:
-            if suspect == location:
-                return True
-            if (
-                suspect.link is not None
-                and location.link is not None
-                and set(suspect.link) == set(location.link)
-            ):
-                return True
-        return False
+        return any(location_matches(s, location) for s in self.suspects)
 
 
 class FaultLocalizer:
@@ -140,10 +171,11 @@ class FaultLocalizer:
 
     The strategy decision logic lives in :mod:`repro.core.locplans` as
     engine-neutral measurement plans; this class drives a plan against
-    the event-driven :class:`~repro.core.probing.SegmentProber`. The
-    fast and sharded campaign engines (:mod:`repro.core.fastprobe`,
-    :mod:`repro.perf.shardloop`) drive the *same* plans, which is what
-    keeps all three engines' measurement sequences identical.
+    the event-driven :class:`~repro.core.probing.SegmentProber` (or the
+    duck-typed :class:`~repro.core.fastprobe.FastSegmentProber`). The
+    campaign engine (:mod:`repro.perf.shardloop`) drives the *same* plans
+    through the same :func:`~repro.core.locplans.drive_plan`, which is
+    what keeps the engines' measurement sequences identical.
     """
 
     STRATEGIES = ("exhaustive", "binary", "linear", "guided")
@@ -164,30 +196,12 @@ class FaultLocalizer:
             lambda segment: estimate_baseline_rtt(topology, segment)
         )
 
-    # ------------------------------------------------------ vantage math
-
-    @staticmethod
-    def _client_vantage(path: PathSegment, index: int) -> Vantage:
-        hop = path.hops[index]
-        interface = hop.egress if hop.egress is not None else hop.ingress
-        if interface is None:
-            raise ConfigurationError(f"AS {hop.asn} has no on-path interface")
-        return (hop.asn, interface)
-
-    @staticmethod
-    def _server_vantage(path: PathSegment, index: int) -> Vantage:
-        hop = path.hops[index]
-        interface = hop.ingress if hop.ingress is not None else hop.egress
-        if interface is None:
-            raise ConfigurationError(f"AS {hop.asn} has no on-path interface")
-        return (hop.asn, interface)
-
     def _measure(self, path: PathSegment, i: int, j: int) -> SegmentVerdict:
         """Measure the sub-path between on-path AS indices ``i < j``."""
         asns = path.asns()
         segment = path.subsegment(asns[i], asns[j])
-        client = self._client_vantage(path, i)
-        server = self._server_vantage(path, j)
+        client = client_vantage(path, i)
+        server = server_vantage(path, j)
         measurement = self.prober.measure_sync(
             client, server, segment, protocol=self.protocol
         )
@@ -230,7 +244,7 @@ class FaultLocalizer:
             hint=hint_spec_for(path, hint) if hint is not None else None,
         )
         specs = drive_plan(plan, measure)
-        suspects = [self._location_for(path, spec) for spec in specs]
+        suspects = [location_for(path, spec) for spec in specs]
         finished = self.prober.network.simulator.now
         return LocalizationReport(
             path=path,
@@ -240,20 +254,6 @@ class FaultLocalizer:
             started_at=started,
             finished_at=finished,
         )
-
-    def _location_for(self, path: PathSegment, spec: SuspectSpec) -> FaultLocation:
-        kind, index = spec
-        if kind == "link":
-            return self._link_location(path, index)
-        return self._interior_location(path, index)
-
-    def _link_location(self, path: PathSegment, i: int) -> FaultLocation:
-        egress, ingress = path.inter_domain_links()[i]
-        return FaultLocation(link=(egress, ingress))
-
-    @staticmethod
-    def _interior_location(path: PathSegment, index: int) -> FaultLocation:
-        return FaultLocation(asn=path.hops[index].asn)
 
 
 def hint_spec_for(path: PathSegment, hint: FaultLocation) -> SuspectSpec | None:

@@ -1,12 +1,9 @@
 """Measurement plans: localization strategies as engine-neutral generators.
 
-The §VI-D strategies (exhaustive, binary, linear, guided) used to live as
-recursive methods inside :class:`~repro.core.localization.FaultLocalizer`,
-hard-wired to the event-driven :class:`~repro.core.probing.SegmentProber`.
-PR 10 needs the *same* decision logic driven by three different
-measurement engines — event-driven VM probing, the vectorized fast path,
-and the region-sharded campaign loop — so the strategies are factored out
-as coroutine **plans**:
+The §VI-D strategies (exhaustive, binary, linear, guided) are coroutine
+**plans**, so the same decision logic drives both measurement engines —
+event-driven VM probing (:class:`~repro.core.localization.FaultLocalizer`)
+and the vectorized campaign engine (:mod:`repro.perf.shardloop`):
 
 - a plan ``yield``\\ s a measurement request ``(i, j)`` — "measure the
   sub-path between on-path hop indices ``i < j``";
@@ -16,14 +13,9 @@ as coroutine **plans**:
   interior of the k-th on-path AS).
 
 Plans are pure index arithmetic over a path of ``n`` links: no probing,
-no topology, no randomness. That is what guarantees the fast and sharded
-campaign engines reproduce the event-driven engine's measurement sequence
-exactly — they all run this one generator — and it is what the
-serial-vs-sharded digest equality test ultimately rests on.
-
-The sharded loop additionally exploits that a plan between two ``yield``\\ s
-is *suspended state*: thousands of concurrent episodes each hold a plan,
-and the epoch barrier resumes them in deterministic order.
+no topology, no randomness. Both engines run them through the one
+:func:`drive_plan`, which is what guarantees the fast path reproduces the
+event-driven engine's measurement sequence exactly.
 """
 
 from __future__ import annotations
@@ -155,12 +147,23 @@ def make_plan(strategy: str, n: int, *, hint: SuspectSpec | None = None) -> Plan
 
 
 def drive_plan(
-    plan: Plan, measure: Callable[[int, int], bool]
+    plan: Plan,
+    measure: Callable[[int, int], bool],
+    *,
+    max_steps: int | None = None,
 ) -> list[SuspectSpec]:
-    """Run ``plan`` to completion against a synchronous measure function."""
+    """Run ``plan`` to completion against a synchronous measure function.
+
+    A plan that asks for more than ``max_steps`` measurements is cut off
+    and ends with no suspects.
+    """
+    steps = 0
     try:
         request = next(plan)
-        while True:
+        while max_steps is None or steps < max_steps:
             request = plan.send(measure(*request))
+            steps += 1
     except StopIteration as stop:
         return stop.value or []
+    plan.close()
+    return []

@@ -280,64 +280,6 @@ def extract_probe_cell(
     )
 
 
-def _segment_stages(
-    topology,
-    hops,
-    packet: Packet,
-    src_attachment: str,
-    dst_attachment: str,
-    *,
-    allow_overlays: bool,
-) -> list[ChannelStage]:
-    """Stages for one direction of a pinned segment traversal.
-
-    Mirrors ``Network._build_trail`` exactly: source attachment to egress
-    interface, the inter-domain channel per crossed link, ingress→egress
-    interior channels at transit ASes, and ingress to the destination
-    attachment at the final AS.
-    """
-    from repro.netsim.topology import InterfaceId
-
-    stages: list[ChannelStage] = []
-    if len(hops) == 1:
-        asys = topology.autonomous_system(hops[0].asn)
-        channel = asys.internal_channel(src_attachment, dst_attachment)
-        stages.append(
-            _stage_from_channel(channel, packet, allow_overlays=allow_overlays)
-        )
-        return stages
-
-    first = hops[0]
-    if first.egress is None:
-        raise FastPathUnsupported("first hop has no egress interface")
-    asys = topology.autonomous_system(first.asn)
-    stages.append(
-        _stage_from_channel(
-            asys.internal_channel(src_attachment, f"if{first.egress}"),
-            packet,
-            allow_overlays=allow_overlays,
-        )
-    )
-    for hop, nxt in zip(hops, hops[1:]):
-        if hop.egress is None or nxt.ingress is None:
-            raise FastPathUnsupported("missing interface on transit hop")
-        channel = topology.channel_between(
-            InterfaceId(hop.asn, hop.egress), InterfaceId(nxt.asn, nxt.ingress)
-        )
-        stages.append(
-            _stage_from_channel(channel, packet, allow_overlays=allow_overlays)
-        )
-        next_as = topology.autonomous_system(nxt.asn)
-        if nxt.egress is not None:
-            interior = next_as.internal_channel(f"if{nxt.ingress}", f"if{nxt.egress}")
-        else:
-            interior = next_as.internal_channel(f"if{nxt.ingress}", dst_attachment)
-        stages.append(
-            _stage_from_channel(interior, packet, allow_overlays=allow_overlays)
-        )
-    return stages
-
-
 def extract_segment_cell(
     topology,
     segment,
@@ -382,23 +324,16 @@ def extract_segment_cell(
         size=size,
         dst_port=dst_port,
     )
-    reply = probe.reply_to()
-    stages = _segment_stages(
-        topology,
-        hops,
-        probe,
-        client_attachment,
-        server_attachment,
-        allow_overlays=allow_overlays,
+    legs = (
+        (probe, hops, client_attachment, server_attachment),
+        (probe.reply_to(), segment.reversed().as_list(),
+         server_attachment, client_attachment),
     )
-    stages += _segment_stages(
-        topology,
-        segment.reversed().as_list(),
-        reply,
-        server_attachment,
-        client_attachment,
-        allow_overlays=allow_overlays,
-    )
+    stages = [
+        _stage_from_channel(channel, packet, allow_overlays=allow_overlays)
+        for packet, path, src, dst in legs
+        for channel, _, _ in topology.trail_channels(path, src, dst)
+    ]
     return ProbeCell(
         label=label,
         protocol=protocol,

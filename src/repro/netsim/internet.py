@@ -37,8 +37,8 @@ from repro.common.rng import derive_rng
 from repro.netsim.conduit import Link
 from repro.netsim.topology import InterfaceId, PathHop, Topology
 
-#: Continent labels for the default five-region split (cosmetic; the
-#: sharding layer only cares about the region *index*).
+#: Continent labels for the default five-region split (cosmetic; link
+#: delays only care about the region *index*).
 REGION_NAMES = ("america", "europe", "asia", "africa", "oceania")
 
 

@@ -21,7 +21,7 @@ from repro.netsim.conduit import DirectedChannel
 from repro.netsim.endhost import Host
 from repro.netsim.engine import Simulator
 from repro.netsim.packet import Address, IcmpType, Packet, Protocol
-from repro.netsim.topology import BorderRouter, InterfaceId, PathHop, Topology
+from repro.netsim.topology import BorderRouter, PathHop, Topology
 
 DropCallback = Callable[[Packet, str, float], None]
 
@@ -125,49 +125,14 @@ class Network:
         dst_attachment = dst_host.attachment if dst_host else "interior"
 
         segments: list[_Segment] = []
-        if len(path) == 1:
-            asys = self.topology.autonomous_system(path[0].asn)
-            channel = asys.internal_channel(src_attachment, dst_attachment)
-            segments.append(_Segment(channel, host=dst_host))
-            return segments
-
-        # Source AS: interior (or attachment) to egress interface.
-        first = path[0]
-        if first.egress is None:
-            raise SimulationError("first hop has no egress interface")
-        asys = self.topology.autonomous_system(first.asn)
-        egress_router = asys.router(first.egress)
-        segments.append(
-            _Segment(
-                asys.internal_channel(src_attachment, f"if{first.egress}"),
-                router=egress_router,
-            )
-        )
-
-        for hop, nxt in zip(path, path[1:]):
-            # Inter-domain link from hop.egress to nxt.ingress.
-            if hop.egress is None or nxt.ingress is None:
-                raise SimulationError("missing interface on transit hop")
-            src_if = InterfaceId(hop.asn, hop.egress)
-            dst_if = InterfaceId(nxt.asn, nxt.ingress)
-            channel = self.topology.channel_between(src_if, dst_if)
-            next_as = self.topology.autonomous_system(nxt.asn)
-            segments.append(_Segment(channel, router=next_as.router(nxt.ingress)))
-            # Within the next AS: ingress to egress (transit) or to host (last).
-            if nxt.egress is not None:
-                segments.append(
-                    _Segment(
-                        next_as.internal_channel(f"if{nxt.ingress}", f"if{nxt.egress}"),
-                        router=next_as.router(nxt.egress),
-                    )
-                )
+        for channel, asn, interface in self.topology.trail_channels(
+            path, src_attachment, dst_attachment
+        ):
+            if interface is None:
+                segments.append(_Segment(channel, host=dst_host))
             else:
-                segments.append(
-                    _Segment(
-                        next_as.internal_channel(f"if{nxt.ingress}", dst_attachment),
-                        host=dst_host,
-                    )
-                )
+                router = self.topology.autonomous_system(asn).router(interface)
+                segments.append(_Segment(channel, router=router))
         return segments
 
     def _router_attachment(self, address: Address) -> str:

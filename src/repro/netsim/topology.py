@@ -270,6 +270,49 @@ class Topology:
                 queue.append((peer_asn, new_trail))
         raise SimulationError(f"no path from AS {src_asn} to AS {dst_asn}")
 
+    def trail_channels(
+        self, path: list[PathHop], src_attachment: str, dst_attachment: str
+    ) -> list[tuple[DirectedChannel, int, int | None]]:
+        """The directed channels a packet crosses along pinned ``path``.
+
+        Source attachment to the first egress interface, the inter-domain
+        channel per crossed link, ingress→egress interiors at transit ASes,
+        and ingress to ``dst_attachment`` at the last AS. Each entry is
+        ``(channel, asn, interface)``: the AS the channel ends in and the
+        border-router interface it ends at, or ``None`` when it ends at
+        ``dst_attachment``.
+        """
+        first = path[0]
+        asys = self.autonomous_system(first.asn)
+        if len(path) == 1:
+            channel = asys.internal_channel(src_attachment, dst_attachment)
+            return [(channel, first.asn, None)]
+        if first.egress is None:
+            raise SimulationError("first hop has no egress interface")
+        trail = [
+            (
+                asys.internal_channel(src_attachment, f"if{first.egress}"),
+                first.asn,
+                first.egress,
+            )
+        ]
+        for hop, nxt in zip(path, path[1:]):
+            if hop.egress is None or nxt.ingress is None:
+                raise SimulationError("missing interface on transit hop")
+            channel = self.channel_between(
+                InterfaceId(hop.asn, hop.egress), InterfaceId(nxt.asn, nxt.ingress)
+            )
+            trail.append((channel, nxt.asn, nxt.ingress))
+            # Within the next AS: ingress to egress (transit) or to the end.
+            exit_point = (
+                dst_attachment if nxt.egress is None else f"if{nxt.egress}"
+            )
+            interior = self.autonomous_system(nxt.asn).internal_channel(
+                f"if{nxt.ingress}", exit_point
+            )
+            trail.append((interior, nxt.asn, nxt.egress))
+        return trail
+
     def interface_pairs_on_path(self, path: list[PathHop]) -> list[tuple[InterfaceId, InterfaceId]]:
         """The inter-domain (egress, ingress) interface pairs along ``path``."""
         pairs = []

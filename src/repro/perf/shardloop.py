@@ -1,61 +1,40 @@
-"""Region-sharded epoch-barrier execution of localization campaigns.
+"""The serial campaign engine for continent-scale localization.
 
-A continent-scale campaign runs thousands of concurrent localization
-*episodes* — each a strategy plan (:mod:`repro.core.locplans`) probing
-one policy path. This module partitions that work across processes by
-the **AS region of each episode's client vantage** (the deployment the
-paper implies: an operator's regional probing infrastructure), with the
-controller process exchanging work at **epoch barriers**:
+A campaign runs many localization *episodes* — each a strategy plan
+(:mod:`repro.core.locplans`) probing one policy path — on the vectorized
+fast path (:class:`~repro.core.fastprobe.FastSegmentProber`).
+:class:`CampaignEngine` drives each episode's plan to completion through
+the shared :func:`~repro.core.locplans.drive_plan`, one episode after
+another.
 
-1. every active episode contributes its next measurement request;
-2. the controller extracts the requests as picklable
-   :class:`~repro.netsim.fastpath.ProbeCell` snapshots — the
-   boundary-crossing unit, a probe train about to traverse (possibly)
-   many regions;
-3. cells are grouped by client region and shipped to one worker task per
-   region; workers run :func:`~repro.netsim.fastpath.simulate_cell_arrays`
-   — a pure function of the cell — and return bare float arrays;
-4. results are fed back into the plans **in episode order**, unblocking
-   the next round of requests.
-
-Bit-identical determinism (the PR 1 ``perf/parallel`` pattern, extended
-from independent cells to a stateful epoch loop): each measurement's RNG
-stream is derived from ``(seed, episode, step)``, never from a shared
-clock or issue order, and every episode owns a disjoint simulated-time
+Episode isolation: every measurement's RNG stream is derived from
+``(seed, episode, step)``, never from a shared clock or issue order, and
+its start time is slot ``step`` of the episode's private simulated-time
 window, so injected fault overlays (time-masked in the vectorized path)
-cannot leak across episodes. Serial (``workers=0``) and sharded runs of
-the same campaign therefore produce byte-identical result digests —
-property-tested, and re-checked in CI on every push.
-
-A pool that cannot be spawned degrades to the serial path (counted like
-``perf.parallel``'s fallback), never crashing the campaign.
+cannot leak across episodes. An episode's result row is therefore a pure
+function of the scenario and the episode: running any subset of a
+campaign's episodes, in any process, yields the same rows as the full run.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from repro.common.errors import ConfigurationError
 from repro.core.fastprobe import FastSegmentProber
-from repro.core.localization import FaultJudge, estimate_baseline_rtt
-from repro.core.locplans import Plan, SuspectSpec, make_plan
+from repro.core.localization import (
+    FaultJudge,
+    client_vantage,
+    estimate_baseline_rtt,
+    location_for,
+    location_matches,
+    server_vantage,
+)
+from repro.core.locplans import SuspectSpec, drive_plan, make_plan
 from repro.netsim.faults import FaultLocation
-from repro.netsim.fastpath import ProbeCell, simulate_cell_arrays
 from repro.netsim.packet import Protocol
 from repro.pathaware.segments import PathSegment
-from repro.perf import parallel as _parallel
-
-
-def simulate_cells_batch(cells: list[ProbeCell]):
-    """Worker entry point: simulate a region's batch of cells.
-
-    Top-level (picklable) and pure — results depend only on the cells.
-    """
-    return [simulate_cell_arrays(cell) for cell in cells]
 
 
 @dataclass(frozen=True)
@@ -64,8 +43,8 @@ class Episode:
 
     ``window_start`` is the beginning of the episode's private
     simulated-time interval; the fault (if any) should be injected
-    active over exactly that window so concurrent episodes cannot
-    observe each other's overlays.
+    active over exactly that window so other episodes cannot observe
+    its overlays.
     """
 
     index: int
@@ -77,50 +56,6 @@ class Episode:
     fault_location: FaultLocation | None = None
 
 
-@dataclass
-class _EpisodeState:
-    episode: Episode
-    plan: Plan
-    request: tuple[int, int] | None
-    step: int = 0
-    verdicts: list[dict] = field(default_factory=list)
-    suspects: list[SuspectSpec] | None = None
-
-
-def _client_vantage(path: PathSegment, index: int) -> tuple[int, int]:
-    hop = path.hops[index]
-    interface = hop.egress if hop.egress is not None else hop.ingress
-    if interface is None:
-        raise ConfigurationError(f"AS {hop.asn} has no on-path interface")
-    return (hop.asn, interface)
-
-
-def _server_vantage(path: PathSegment, index: int) -> tuple[int, int]:
-    hop = path.hops[index]
-    interface = hop.ingress if hop.ingress is not None else hop.egress
-    if interface is None:
-        raise ConfigurationError(f"AS {hop.asn} has no on-path interface")
-    return (hop.asn, interface)
-
-
-def _location_matches(suspect: FaultLocation, truth: FaultLocation) -> bool:
-    if suspect == truth:
-        return True
-    return (
-        suspect.link is not None
-        and truth.link is not None
-        and set(suspect.link) == set(truth.link)
-    )
-
-
-def _location_for(path: PathSegment, spec: SuspectSpec) -> FaultLocation:
-    kind, index = spec
-    if kind == "link":
-        egress, ingress = path.inter_domain_links()[index]
-        return FaultLocation(link=(egress, ingress))
-    return FaultLocation(asn=path.hops[index].asn)
-
-
 def _location_str(location: FaultLocation) -> str:
     if location.link is not None:
         a, b = location.link
@@ -130,14 +65,16 @@ def _location_str(location: FaultLocation) -> str:
 
 @dataclass
 class CampaignResult:
-    """Deterministic outcome of a campaign run."""
+    """Deterministic outcome of a campaign run.
+
+    ``epochs`` is the deepest episode's measurement count: the number of
+    rounds a lockstep schedule of the same campaign would take.
+    """
 
     rows: list[dict]
     epochs: int
     measurements: int
     probes_sent: int
-    workers: int
-    fallbacks: int
 
     def digest(self) -> str:
         """Canonical fingerprint of the campaign outcome.
@@ -152,14 +89,7 @@ class CampaignResult:
 
 
 class CampaignEngine:
-    """Runs a set of episodes serially or region-sharded.
-
-    ``workers=0`` runs every measurement inline (the reference);
-    ``workers=N`` (or ``-1`` for all cores) shards each epoch's batch by
-    client region over a persistent process pool. Both paths feed the
-    same plans in the same order with the same derived seeds, which is
-    what the digest-equality guarantee rests on.
-    """
+    """Runs a set of episodes on the fast path, one after another."""
 
     def __init__(
         self,
@@ -175,19 +105,12 @@ class CampaignEngine:
         slot: float | None = None,
         max_steps: int = 64,
         seed: int = 0,
-        workers: int = 0,
-        region_of: dict[int, int] | None = None,
     ) -> None:
         self.network = network
         self.episodes = episodes
         self.judge = judge or FaultJudge()
         self.protocol = protocol
         self.max_steps = max_steps
-        self.seed = seed
-        self.workers = workers
-        self.region_of = region_of if region_of is not None else getattr(
-            network.topology, "region_of", {}
-        )
         self.prober = FastSegmentProber(
             network,
             probes=probes,
@@ -201,184 +124,64 @@ class CampaignEngine:
         self.slot = slot if slot is not None else (
             0.1 + probes * interval_us * 1e-6 + timeout
         )
-        self.fallbacks = 0
-
-    def window_length(self) -> float:
-        """The per-episode simulated-time window implied by the config."""
-        return self.slot * self.max_steps
-
-    # --------------------------------------------------------------- run
 
     def run(self) -> CampaignResult:
-        states: list[_EpisodeState] = []
-        for episode in self.episodes:
-            plan = make_plan(
-                episode.strategy, episode.path.length, hint=episode.hint
-            )
-            try:
-                request = next(plan)
-            except StopIteration as stop:  # zero-length plan (n == 0)
-                states.append(
-                    _EpisodeState(episode, plan, None, suspects=stop.value or [])
-                )
-                continue
-            states.append(_EpisodeState(episode, plan, request))
-
-        pool: ProcessPoolExecutor | None = None
-        # ``-1`` adapts to the machine (core-clamped, may come out serial
-        # on small boxes); an explicit count is honored as-is — sharding
-        # here is a correctness/structure choice, and the digest-equality
-        # CI check must exercise a real pool even on one core.
-        if self.workers == -1:
-            pool_size = _parallel.resolve_workers(-1, len(states))
-        else:
-            pool_size = min(max(self.workers, 0), len(states))
-        if pool_size:
-            try:
-                pool = ProcessPoolExecutor(max_workers=pool_size)
-            except (OSError, PermissionError):
-                self.fallbacks += 1
-                pool = None
-
-        epochs = 0
-        measurements = 0
-        probes_sent = 0
-        try:
-            active = [s for s in states if s.request is not None]
-            while active:
-                batch = self._build_batch(active)
-                results = self._simulate_batch(pool, batch)
-                if results is None:  # pool died mid-epoch: degrade, retry
-                    pool = None
-                    self.fallbacks += 1
-                    results = self._simulate_batch(None, batch)
-                for state, cell, client, server, segment in batch:
-                    send_times, rtts = results[state.episode.index]
-                    self._advance(
-                        state, cell, client, server, segment, send_times, rtts
-                    )
-                    measurements += 1
-                    probes_sent += cell.count
-                epochs += 1
-                active = [s for s in states if s.request is not None]
-        finally:
-            if pool is not None:
-                pool.shutdown()
-
-        rows = [self._row_for(state) for state in states]
+        rows = [self._run_episode(episode) for episode in self.episodes]
+        counts = [row["measurements"] for row in rows]
+        measurements = sum(counts)
         return CampaignResult(
             rows=rows,
-            epochs=epochs,
+            epochs=max(counts, default=0),
             measurements=measurements,
-            probes_sent=probes_sent,
-            workers=pool_size,
-            fallbacks=self.fallbacks,
+            probes_sent=measurements * self.prober.probes,
         )
 
-    # ----------------------------------------------------------- internals
+    def _run_episode(self, episode: Episode) -> dict:
+        path = episode.path
+        asns = path.asns()
+        verdicts: list[dict] = []
 
-    def _build_batch(self, active: list[_EpisodeState]):
-        batch = []
-        for state in sorted(active, key=lambda s: s.episode.index):
-            episode = state.episode
-            if state.step >= self.max_steps:
-                # Out of window: terminate the plan with what it has.
-                state.suspects = []
-                state.request = None
-                continue
-            i, j = state.request
-            asns = episode.path.asns()
-            segment = episode.path.subsegment(asns[i], asns[j])
-            client = _client_vantage(episode.path, i)
-            server = _server_vantage(episode.path, j)
-            start = episode.window_start + state.step * self.slot
-            cell = self.prober.build_cell(
-                client,
-                server,
+        def measure(i: int, j: int) -> bool:
+            step = len(verdicts)
+            segment = path.subsegment(asns[i], asns[j])
+            measurement = self.prober.measure_at(
+                client_vantage(path, i),
+                server_vantage(path, j),
                 segment,
                 protocol=self.protocol,
-                start=start,
-                seed_labels=(episode.index, state.step),
+                start=episode.window_start + step * self.slot,
+                seed_labels=(episode.index, step),
             )
-            batch.append((state, cell, client, server, segment))
-        return batch
-
-    def _simulate_batch(self, pool: ProcessPoolExecutor | None, batch):
-        """Simulate one epoch's cells; returns ``{episode_index: arrays}``.
-
-        With a pool, cells are grouped by client-vantage region and one
-        worker task is submitted per region — the shard boundary. Returns
-        ``None`` when the pool broke (caller degrades to serial).
-        """
-        if pool is None:
-            return {
-                state.episode.index: simulate_cell_arrays(cell)
-                for state, cell, *_ in batch
-            }
-        by_region: dict[int, list] = {}
-        for entry in batch:
-            state, cell, client, *_ = entry
-            region = self.region_of.get(client[0], 0)
-            by_region.setdefault(region, []).append((state.episode.index, cell))
-        futures = []
-        try:
-            for region in sorted(by_region):
-                indices = [index for index, _ in by_region[region]]
-                cells = [cell for _, cell in by_region[region]]
-                futures.append((indices, pool.submit(simulate_cells_batch, cells)))
-            results: dict[int, tuple] = {}
-            for indices, future in futures:
-                for index, arrays in zip(indices, future.result()):
-                    results[index] = arrays
-        except (OSError, BrokenProcessPool):
-            return None
-        return results
-
-    def _advance(self, state, cell, client, server, segment, send_times, rtts):
-        measurement = self.prober.measurement_from_arrays(
-            cell, client, server, segment, send_times, rtts
-        )
-        baseline_ms = (
-            estimate_baseline_rtt(self.network.topology, segment) * 1e3
-        )
-        verdict = self.judge.judge(measurement, baseline_ms)
-        i, j = state.request
-        state.verdicts.append(
-            {
-                "i": i,
-                "j": j,
-                "faulty": verdict.faulty,
-                "mean_rtt_ms": measurement.mean_rtt_ms(),
-                "loss": measurement.loss_rate(),
-                "finished_at": measurement.finished_at,
-            }
-        )
-        state.step += 1
-        try:
-            state.request = state.plan.send(verdict.faulty)
-        except StopIteration as stop:
-            state.request = None
-            state.suspects = stop.value or []
-
-    def _row_for(self, state: _EpisodeState) -> dict:
-        episode = state.episode
-        specs = state.suspects or []
-        suspects = [_location_for(episode.path, spec) for spec in specs]
-        found = False
-        if episode.fault_location is not None:
-            found = any(
-                _location_matches(s, episode.fault_location) for s in suspects
+            baseline_ms = (
+                estimate_baseline_rtt(self.network.topology, segment) * 1e3
             )
+            verdict = self.judge.judge(measurement, baseline_ms)
+            verdicts.append(
+                {
+                    "i": i,
+                    "j": j,
+                    "faulty": verdict.faulty,
+                    "mean_rtt_ms": measurement.mean_rtt_ms(),
+                    "loss": measurement.loss_rate(),
+                    "finished_at": measurement.finished_at,
+                }
+            )
+            return verdict.faulty
+
+        plan = make_plan(episode.strategy, path.length, hint=episode.hint)
+        specs = drive_plan(plan, measure, max_steps=self.max_steps)
+        suspects = [location_for(path, spec) for spec in specs]
+        found = episode.fault_location is not None and any(
+            location_matches(s, episode.fault_location) for s in suspects
+        )
         convergence = 0.0
-        if state.verdicts:
-            convergence = (
-                state.verdicts[-1]["finished_at"] - episode.window_start
-            )
+        if verdicts:
+            convergence = verdicts[-1]["finished_at"] - episode.window_start
         return {
             "episode": episode.index,
-            "src": episode.path.src_asn,
-            "dst": episode.path.dst_asn,
-            "path_length": episode.path.length,
+            "src": path.src_asn,
+            "dst": path.dst_asn,
+            "path_length": path.length,
             "strategy": episode.strategy,
             "fault_kind": episode.fault_kind,
             "fault": (
@@ -387,10 +190,10 @@ class CampaignEngine:
                 else ""
             ),
             "found": found,
-            "measurements": len(state.verdicts),
+            "measurements": len(verdicts),
             "convergence_time": convergence,
             "suspects": [_location_str(s) for s in suspects],
-            "verdicts": state.verdicts,
+            "verdicts": verdicts,
         }
 
 
@@ -398,5 +201,4 @@ __all__ = [
     "CampaignEngine",
     "CampaignResult",
     "Episode",
-    "simulate_cells_batch",
 ]

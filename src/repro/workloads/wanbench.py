@@ -1,24 +1,21 @@
 """Continent-scale fault-localization campaigns over generated Internets.
 
-The ``wanbench`` scenario family stresses every layer PR 10 adds: a
-seeded power-law Gao-Rexford topology (:mod:`repro.netsim.internet`)
-carrying gravity-model background traffic, a batch of concurrent
-localization *episodes* — random multi-hop policy paths, each with one
-fault injected over the episode's private time window — and three
-interchangeable measurement engines:
+The ``wanbench`` scenario family: a seeded power-law Gao-Rexford
+topology (:mod:`repro.netsim.internet`) carrying gravity-model background
+traffic, a batch of localization *episodes* — random multi-hop policy
+paths, each with one fault injected over the episode's private time
+window — and two measurement engines:
 
 - ``event`` — the reference: deployed echo Debuglet pairs driven through
   the discrete-event loop by :class:`~repro.core.localization.FaultLocalizer`;
 - ``fast`` — the vectorized path (:class:`~repro.core.fastprobe.FastSegmentProber`
-  through :class:`~repro.perf.shardloop.CampaignEngine` with ``workers=0``);
-- ``sharded`` — the same campaign engine fanned over a process pool by
-  client region at epoch barriers.
+  through the serial :class:`~repro.perf.shardloop.CampaignEngine`).
 
-All three drive the same strategy plans (:mod:`repro.core.locplans`), so
+Both drive the same strategy plans (:mod:`repro.core.locplans`), so
 accuracy / probe-cost / convergence-time curves are comparable across
-engines; ``fast`` and ``sharded`` are additionally **bit-identical** to
-each other (digest equality), and the fast path's wall-clock advantage
-over ``event`` is the benchmark headline recorded in ``BENCH_wan.json``.
+engines; the fast path's result digest is a pure function of the config,
+and its wall-clock advantage over ``event`` is the benchmark headline
+recorded in ``BENCH_wan.json``.
 """
 
 from __future__ import annotations
@@ -43,7 +40,7 @@ from repro.netsim.traffic import TrafficMatrix
 from repro.pathaware.segments import PathSegment
 from repro.perf.shardloop import CampaignEngine, CampaignResult, Episode
 
-MODES = ("event", "fast", "sharded")
+MODES = ("event", "fast")
 
 #: Strategies cycled through when ``strategy="mixed"``.
 STRATEGY_MIX = ("binary", "linear", "exhaustive")
@@ -69,7 +66,8 @@ class WanbenchConfig:
     probe_size: int = 64
     timeout: float = 2.0
     max_steps: int = 64
-    workers: int = 0  # sharded mode: -1 = all cores
+    # Only 0 is legal; kept because perfbench/ still passes ``workers=0``.
+    workers: int = 0
     traffic: bool = True
     demands_per_as: float = 1.0
 
@@ -80,6 +78,12 @@ class WanbenchConfig:
             raise ConfigurationError(f"unknown strategy {self.strategy!r}")
         if self.min_hops < 1:
             raise ConfigurationError("min_hops must be >= 1")
+        _require_serial(self.workers)
+
+
+def _require_serial(workers: int) -> None:
+    if workers != 0:
+        raise ConfigurationError("campaigns run serially: workers must be 0")
 
 
 @dataclass
@@ -102,7 +106,7 @@ class ContinentScenario:
 
 
 def campaign_judge() -> FaultJudge:
-    """The WAN-calibrated fault judge, shared by all three engines.
+    """The WAN-calibrated fault judge, shared by both engines.
 
     Continental paths have 100s-of-ms baselines, so the chain-scenario
     default ``rtt_factor=1.3`` would need a >100 ms delta to trip;
@@ -123,8 +127,8 @@ def build_continent(config: WanbenchConfig) -> ContinentScenario:
     """Generate the topology, apply traffic, sample and fault episodes.
 
     Pure function of ``config``: same config, byte-identical scenario —
-    which is why serial and sharded runs built from the same config can
-    be compared by digest even across processes.
+    which is why campaigns built from the same config can be compared by
+    digest even across processes.
     """
     topology = generate_internet(
         InternetConfig(
@@ -174,8 +178,8 @@ def _sample_episodes(
     """Sample faulted policy paths, one per disjoint time window.
 
     Every fault is injected up front as a time-bounded overlay active
-    over exactly its episode's window ``[e·W, (e+1)·W)`` — concurrent
-    episodes cannot observe each other's faults, in any engine.
+    over exactly its episode's window ``[e·W, (e+1)·W)`` — episodes
+    cannot observe each other's faults, in either engine.
     """
     rng = derive_rng(config.seed, "wanbench", "episodes")
     injector = FaultInjector(topology)
@@ -278,7 +282,6 @@ class ModeOutcome:
     probes_sent: int
     mean_convergence: float
     digest: str
-    workers: int = 0
     rows: list[dict] = field(default_factory=list)
 
     @property
@@ -293,7 +296,6 @@ class ModeOutcome:
             "episodes": self.episodes,
             "strategy": config.strategy,
             "seed": config.seed,
-            "workers": self.workers,
             "seconds": round(self.wall_seconds, 4),
             "accuracy": round(self.accuracy, 4),
             "measurements": self.measurements,
@@ -317,13 +319,14 @@ def _summarize(mode: str, result: CampaignResult, wall: float) -> ModeOutcome:
             sum(convergences) / len(convergences) if convergences else 0.0
         ),
         digest=result.digest(),
-        workers=result.workers,
         rows=rows,
     )
 
 
 def run_campaign(scenario: ContinentScenario, *, workers: int = 0) -> ModeOutcome:
-    """Run the campaign on the fast path, serial or region-sharded."""
+    """Run the campaign on the fast path."""
+    # Only 0 is legal; kept because perfbench/ still passes ``workers=0``.
+    _require_serial(workers)
     config = scenario.config
     engine = CampaignEngine(
         scenario.network,
@@ -336,13 +339,11 @@ def run_campaign(scenario: ContinentScenario, *, workers: int = 0) -> ModeOutcom
         slot=scenario.slot,
         max_steps=config.max_steps,
         seed=config.seed,
-        workers=workers,
-        region_of=scenario.topology.region_of,
     )
     started = time.perf_counter()
     result = engine.run()
     wall = time.perf_counter() - started
-    return _summarize("sharded" if workers else "fast", result, wall)
+    return _summarize("fast", result, wall)
 
 
 def run_event_baseline(scenario: ContinentScenario) -> ModeOutcome:
@@ -392,21 +393,19 @@ def run_event_baseline(scenario: ContinentScenario) -> ModeOutcome:
         epochs=0,
         measurements=measurements,
         probes_sent=measurements * config.probes,
-        workers=0,
-        fallbacks=0,
     )
     return _summarize("event", result, wall)
 
 
 def run_wanbench(
-    config: WanbenchConfig, *, modes: tuple[str, ...] = ("fast", "sharded")
+    config: WanbenchConfig, *, modes: tuple[str, ...] = ("fast",)
 ) -> dict:
     """Run the requested engines over identical same-seed scenarios.
 
-    Returns per-mode outcomes plus the two headline comparisons: the
-    fast-over-event wall-clock speedup and the serial-vs-sharded digest
-    match. Each mode gets a freshly built scenario so no engine can leak
-    state (sim clock, lazily deployed executors) into the next.
+    Returns per-mode outcomes plus, when both engines ran, the headline
+    fast-over-event wall-clock speedup. Each mode gets a freshly built
+    scenario so no engine can leak state (sim clock, lazily deployed
+    executors) into the next.
     """
     unknown = set(modes) - set(MODES)
     if unknown:
@@ -417,11 +416,8 @@ def run_wanbench(
         scenario = build_continent(config)
         if mode == "event":
             outcomes[mode] = run_event_baseline(scenario)
-        elif mode == "fast":
-            outcomes[mode] = run_campaign(scenario, workers=0)
         else:
-            workers = config.workers if config.workers else -1
-            outcomes[mode] = run_campaign(scenario, workers=workers)
+            outcomes[mode] = run_campaign(scenario)
     summary: dict = {
         "config": {
             "ases": config.n_ases,
@@ -438,10 +434,6 @@ def run_wanbench(
         summary["speedup_fast_over_event"] = (
             event.wall_seconds / fast.wall_seconds if fast.wall_seconds else 0.0
         )
-    if "fast" in outcomes and "sharded" in outcomes:
-        summary["digest_match"] = (
-            outcomes["fast"].digest == outcomes["sharded"].digest
-        )
     return summary
 
 
@@ -457,8 +449,6 @@ def record_outcomes(summary: dict) -> None:
             row["speedup_over_event"] = round(
                 summary["speedup_fast_over_event"], 2
             )
-        if "digest_match" in summary and outcome.mode == "sharded":
-            row["digest_match"] = summary["digest_match"]
         rows.append(row)
     benchstore.append_rows("wan", rows)
 
@@ -476,7 +466,5 @@ def _config_of(summary: dict) -> WanbenchConfig:
 
 def small_config(**overrides) -> WanbenchConfig:
     """The CI-sized campaign: small topology, few episodes, still multi-region."""
-    base = WanbenchConfig(
-        n_ases=120, episodes=9, regions=3, demands_per_as=0.5, workers=2
-    )
+    base = WanbenchConfig(n_ases=120, episodes=9, regions=3, demands_per_as=0.5)
     return replace(base, **overrides) if overrides else base

@@ -122,10 +122,18 @@ def test_audit_overhead_stays_under_ten_percent():
     """Acceptance guard: fleet-scale auditing (25% sampling, window
     checks + batch signature verification) costs <10% sessions/sec.
     Recorded in BENCH_scale.json alongside the ledger rows. Both runs
-    certify the same session population, so the comparison is honest."""
+    certify the same session population, so the comparison is honest.
+
+    Plain and audited runs alternate (A/B/A/B...) and each side keeps its
+    fastest run, so a load spike from other work on the machine during
+    one run cannot fail the guard on its own."""
     scale = dict(sessions=600, executors=16, initiators=16, ramp=6.0, seed=2)
-    _, plain, _ = _run(**scale)
-    _, audited, _ = _run(audit_rate=0.25, **scale)
+    plain_runs, audited_runs = [], []
+    for _ in range(3):
+        plain_runs.append(_run(**scale)[1])
+        audited_runs.append(_run(audit_rate=0.25, **scale)[1])
+    plain = max(plain_runs, key=lambda row: row["sessions_per_sec"])
+    audited = max(audited_runs, key=lambda row: row["sessions_per_sec"])
     assert audited["deterministic"]["certified"] == (
         plain["deterministic"]["certified"]
     )

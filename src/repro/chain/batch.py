@@ -13,9 +13,8 @@ finality schedule, cheap authentication — address binding, nonce, balance
 
 - **signature verification** — the curve checks for every transaction in
   the block run through :func:`~repro.chain.crypto.ed25519_batch_verify`,
-  which deduplicates signer keys so a block of transactions from a
-  bounded wallet fleet pays one full-width scalar multiply per *unique*
-  signer rather than per transaction;
+  which rejects exactly what a serial ledger's per-transaction check
+  rejects (one rule for both, DESIGN.md §11);
 - **checkpoint sealing** — one checkpoint with one Merkle root and one
   folded shard state root commits the whole block, so shard-disjoint
   transactions in the same window never trigger interleaved root

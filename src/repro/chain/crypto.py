@@ -1,10 +1,24 @@
 """Cryptographic primitives for the ledger.
 
-Implements Ed25519 (RFC 8032) in pure Python with extended homogeneous
-coordinates — no inversions on the hot path — plus a windowed base-point
-table, making sign/verify fast enough for simulation workloads while being
-real public-key cryptography: executors certify results with keys whose
-public halves live on-chain, and any third party can check them.
+Ed25519 (RFC 8032) with two backends behind one verification rule. A
+signature ``(R, S)`` by key ``A`` is accepted when ``S < L``, ``A`` and
+``R`` use canonical encodings (``y < p``, and no set sign bit on a point
+whose ``x`` is 0), and the cofactorless equation ``[S]B = R + [k]A``
+holds. Batch verification is exactly the list of items single
+verification rejects, so no signature passes one check and fails the
+other (DESIGN.md §11).
+
+- **OpenSSL** (``libcrypto`` EVP Ed25519 through :mod:`ctypes`): the
+  library ``_hashlib`` already mapped, opened on the first key
+  derivation, sign or verify, and chosen only when a known-answer
+  self-test passes.
+- **Pure Python** (``_reference_*``): extended homogeneous coordinates
+  and a windowed base-point comb. It is the reference the native backend
+  is tested against, and the fallback wherever the self-test fails.
+
+Either way this is real public-key cryptography: executors certify
+results with keys whose public halves live on-chain, and any third party
+can check them.
 """
 
 from __future__ import annotations
@@ -130,6 +144,9 @@ def _recover_x(y: int, sign: int) -> int:
         x = (x * _I) % _Q
     if (x * x - xx) % _Q != 0:
         raise VerificationError("invalid point encoding")
+    if x == 0 and sign:
+        # -0 is 0: the sign bit of an x = 0 point is a second encoding.
+        raise VerificationError("non-canonical point encoding")
     if x & 1 != sign:
         x = _Q - x
     return x
@@ -248,123 +265,6 @@ _DECODED_PUBLIC: dict[bytes, Point] = {}
 _DECODED_PUBLIC_MAX = 8192
 
 
-#: wNAF window widths: items (per-signature R points, 64-bit coefficients)
-#: get small throwaway tables; signers (full-width scalars, cached tables)
-#: get wide ones. Odd-multiple table size is 2**(width - 2) entries.
-_ITEM_WNAF_WIDTH = 4
-_SIGNER_WNAF_WIDTH = 7
-
-
-def _odd_table(point: Point, count: int) -> list[Point]:
-    """``[P, 3P, 5P, ...]`` — the first ``count`` odd multiples."""
-    double = _point_double(point)
-    table = [point]
-    for _ in range(count - 1):
-        table.append(_point_add(table[-1], double))
-    return table
-
-
-def _wnaf(scalar: int, width: int) -> list[int]:
-    """Signed digits of ``scalar``, LSB first: each is zero or odd with
-    ``|digit| < 2**(width-1)``, and any ``width`` consecutive digits hold
-    at most one nonzero — fewer table additions than fixed windows, and
-    negative digits are free because point negation is."""
-    digits = []
-    full = 1 << width
-    half = full >> 1
-    mask = full - 1
-    while scalar:
-        if scalar & 1:
-            digit = scalar & mask
-            if digit >= half:
-                digit -= full
-            scalar -= digit
-            digits.append(digit)
-        else:
-            digits.append(0)
-        scalar >>= 1
-    return digits
-
-
-# Odd-multiple wNAF tables per signer key, in Niels form: fleets verify
-# thousands of signatures from a bounded wallet set, so the 32-addition
-# table build (plus one batched inversion) amortizes to nothing while
-# every multi-scalar digit becomes one 7-mult mixed addition.
-_SIGNER_TABLES: dict[bytes, list[Niels]] = {}
-_SIGNER_TABLES_MAX = 8192
-
-
-def _signer_table(public: bytes) -> list[Niels]:
-    table = _SIGNER_TABLES.get(public)
-    if table is None:
-        extended = _odd_table(
-            _decode_public(public), 1 << (_SIGNER_WNAF_WIDTH - 2)
-        )
-        table = _to_niels(extended)
-        if len(_SIGNER_TABLES) >= _SIGNER_TABLES_MAX:
-            _SIGNER_TABLES.clear()
-        _SIGNER_TABLES[public] = table
-    return table
-
-
-def _multi_scalar_mult(
-    pairs: list[tuple[int, list[Point]]],
-    niels_pairs: list[tuple[int, list[Niels]]] = (),
-) -> Point:
-    """``sum scalar_i * P_i`` with one shared doubling chain.
-
-    Interleaved wNAF: every scalar is recoded into signed odd digits, the
-    nonzero digits are bucketed by bit position, and one accumulator walks
-    the positions top-down — a single doubling per bit (paid once for the
-    whole sum) plus one table addition per nonzero digit. ``pairs`` holds
-    (scalar, odd-multiple table) in extended coordinates (ephemeral
-    tables, e.g. per-signature R points, where an affine conversion would
-    cost more than it saves) using width-4 digits (~1 addition per 5
-    bits); ``niels_pairs`` holds cached Niels-form signer tables using
-    width-7 digits (~1 mixed addition per 8 bits of a full-width scalar).
-    Negative digits cost nothing extra: negating an Edwards point just
-    negates x and t (or swaps the Niels sums).
-    """
-    ext_at: dict[int, list[Point]] = {}
-    niels_at: dict[int, list[Niels]] = {}
-    top = -1
-    for scalar, table in pairs:
-        for pos, digit in enumerate(_wnaf(scalar, _ITEM_WNAF_WIDTH)):
-            if digit:
-                if digit > 0:
-                    entry = table[digit >> 1]
-                else:
-                    x, y, z, t = table[(-digit) >> 1]
-                    entry = (_Q - x, y, z, _Q - t)
-                ext_at.setdefault(pos, []).append(entry)
-                if pos > top:
-                    top = pos
-    for scalar, table in niels_pairs:
-        for pos, digit in enumerate(_wnaf(scalar, _SIGNER_WNAF_WIDTH)):
-            if digit:
-                if digit > 0:
-                    nentry = table[digit >> 1]
-                else:
-                    ymx, ypx, td2 = table[(-digit) >> 1]
-                    nentry = (ypx, ymx, _Q - td2)
-                niels_at.setdefault(pos, []).append(nentry)
-                if pos > top:
-                    top = pos
-    result = _IDENTITY
-    for pos in range(top, -1, -1):
-        if result is not _IDENTITY:
-            result = _point_double(result)
-        entries = ext_at.get(pos)
-        if entries:
-            for entry in entries:
-                result = _point_add(result, entry)
-        nentries = niels_at.get(pos)
-        if nentries:
-            for nentry in nentries:
-                result = _mixed_add(result, nentry)
-    return result
-
-
 def _decode_public(public: bytes) -> Point:
     point = _DECODED_PUBLIC.get(public)
     if point is None:
@@ -375,15 +275,11 @@ def _decode_public(public: bytes) -> Point:
     return point
 
 
-def ed25519_public_key(seed: bytes) -> bytes:
-    """Derive the 32-byte public key from a 32-byte seed."""
-    if len(seed) != 32:
-        raise VerificationError("seed must be 32 bytes")
+def _reference_public_key(seed: bytes) -> bytes:
     return _expand_seed(seed)[2]
 
 
-def ed25519_sign(seed: bytes, message: bytes) -> bytes:
-    """Produce a 64-byte RFC 8032 signature."""
+def _reference_sign(seed: bytes, message: bytes) -> bytes:
     a, prefix, public = _expand_seed(seed)
     r = _sha512_int(prefix, message) % _L
     r_point = _encode_point(_base_mult(r))
@@ -392,8 +288,7 @@ def ed25519_sign(seed: bytes, message: bytes) -> bytes:
     return r_point + s.to_bytes(32, "little")
 
 
-def ed25519_verify(public: bytes, message: bytes, signature: bytes) -> bool:
-    """Check a signature; returns False rather than raising on mismatch."""
+def _reference_verify(public: bytes, message: bytes, signature: bytes) -> bool:
     if len(signature) != 64 or len(public) != 32:
         return False
     try:
@@ -413,99 +308,288 @@ def ed25519_verify(public: bytes, message: bytes, signature: bytes) -> bool:
     return (x1 * z2 - x2 * z1) % _Q == 0 and (y1 * z2 - y2 * z1) % _Q == 0
 
 
+class _ReferenceBackend:
+    name = "python"
+    public_key = staticmethod(_reference_public_key)
+    sign = staticmethod(_reference_sign)
+    verify = staticmethod(_reference_verify)
+
+
+# ------------------------------------------------------- OpenSSL backend
+
+#: ``EVP_PKEY_ED25519`` (= ``NID_ED25519``) in every OpenSSL since 1.1.1.
+_EVP_PKEY_ED25519 = 1087
+
+#: RFC 8032 §7.1 test vector 1 (empty message): the known answer the
+#: native backend must reproduce before it is selected.
+_KAT_SEED = bytes.fromhex(
+    "9d61b19deffd5a60ba844af492ec2cc44449c5697b326919703bac031cae7f60"
+)
+_KAT_PUBLIC = bytes.fromhex(
+    "d75a980182b10ab7d54bfed3c964073a0ee172f3daa62325af021a68f707511a"
+)
+_KAT_SIGNATURE = bytes.fromhex(
+    "e5564300c360ac729086e2cc806e828a84877f1eb8e5d974d873e06522490155"
+    "5fb8821590a33bacc61e39701cf9b46bd25bf5f0595bbe24655141438e7a100b"
+)
+#: The same key and message signed with R moved by the order-8 point
+#: ``26e8958f…fc05`` (S recomputed for the moved R). The cofactorless
+#: rule rejects it; a cofactored or random-linear-combination check would
+#: accept it, so a library that does must not be selected.
+_KAT_TORSION_SIGNATURE = bytes.fromhex(
+    "030ebbcd7da06a0d1188bbe47275208b96c9d32e6e750955a7609d8010ba9222"
+    "e25b9bae75c348d1d42d150e72d918eab1d68c3d0b9e7fa86c9ae98bb6b5fd0a"
+)
+
+
+def _canonical_public(public: bytes) -> bool:
+    """A's encoding is canonical: ``y < p``, and no sign bit on the two
+    ``x = 0`` points (``y = ±1``). libcrypto reduces ``y`` mod ``p`` and
+    ignores the sign of 0, so this runs before it sees the key."""
+    value = int.from_bytes(public, "little")
+    y = value & ((1 << 255) - 1)
+    if y >= _Q:
+        return False
+    return not (value >> 255 and y in (1, _Q - 1))
+
+
+class _EvpKey:
+    """One ``EVP_PKEY``, freed when the last reference to it goes, so a
+    key evicted from a cache is never freed under a caller still using it."""
+
+    __slots__ = ("handle", "_free")
+
+    def __init__(self, handle: int, free) -> None:
+        self.handle = handle
+        self._free = free
+
+    def __del__(self) -> None:
+        self._free(self.handle)
+
+
+# Bounds of the per-seed and per-public-key EVP_PKEY caches; fleets use a
+# bounded set of keys, so a full cache is cleared rather than ordered.
+_NATIVE_KEYS_MAX = 8192
+
+
+class _OpenSSLBackend:
+    """Ed25519 through libcrypto's one-shot EVP_DigestSign/Verify.
+
+    Every function gets explicit ``argtypes`` and ``restype``: the ctypes
+    default return type is a C ``int``, which truncates 64-bit pointers.
+    Each call uses a fresh ``EVP_MD_CTX``. A failed call clears OpenSSL's
+    thread-local error queue, which ``hashlib`` reads for its own errors.
+    """
+
+    name = "openssl"
+
+    def __init__(self, lib) -> None:
+        import ctypes
+
+        pointer, size_t, cint = ctypes.c_void_p, ctypes.c_size_t, ctypes.c_int
+        size_p = ctypes.POINTER(size_t)
+
+        def bind(symbol: str, restype, *argtypes):
+            function = getattr(lib, symbol)
+            function.restype = restype
+            function.argtypes = list(argtypes)
+            return function
+
+        raw_key = (cint, pointer, ctypes.c_char_p, size_t)
+        self._new_private = bind("EVP_PKEY_new_raw_private_key", pointer, *raw_key)
+        self._new_public = bind("EVP_PKEY_new_raw_public_key", pointer, *raw_key)
+        self._get_public = bind(
+            "EVP_PKEY_get_raw_public_key", cint, pointer, pointer, size_p
+        )
+        self._pkey_free = bind("EVP_PKEY_free", None, pointer)
+        self._ctx_new = bind("EVP_MD_CTX_new", pointer)
+        self._ctx_free = bind("EVP_MD_CTX_free", None, pointer)
+        init = (pointer, pointer, pointer, pointer, pointer)
+        self._sign_init = bind("EVP_DigestSignInit", cint, *init)
+        self._sign = bind(
+            "EVP_DigestSign", cint, pointer, pointer, size_p,
+            ctypes.c_char_p, size_t,
+        )
+        self._verify_init = bind("EVP_DigestVerifyInit", cint, *init)
+        self._verify = bind(
+            "EVP_DigestVerify", cint, pointer, ctypes.c_char_p, size_t,
+            ctypes.c_char_p, size_t,
+        )
+        self._clear_error = bind("ERR_clear_error", None)
+        self._buffer = ctypes.create_string_buffer
+        self._size = size_t
+        self._byref = ctypes.byref
+        self._private_keys: dict[bytes, tuple[_EvpKey, bytes]] = {}
+        self._public_keys: dict[bytes, _EvpKey] = {}
+
+    def self_test(self) -> bool:
+        try:
+            return (
+                self.public_key(_KAT_SEED) == _KAT_PUBLIC
+                and self.sign(_KAT_SEED, b"") == _KAT_SIGNATURE
+                and self.verify(_KAT_PUBLIC, b"", _KAT_SIGNATURE)
+                and not self.verify(_KAT_PUBLIC, b"", _KAT_TORSION_SIGNATURE)
+            )
+        except (VerificationError, MemoryError):
+            return False
+
+    def _private(self, seed: bytes) -> tuple[_EvpKey, bytes]:
+        entry = self._private_keys.get(seed)
+        if entry is None:
+            handle = self._new_private(_EVP_PKEY_ED25519, None, bytes(seed), 32)
+            if not handle:
+                self._clear_error()
+                raise VerificationError("libcrypto refused the private key")
+            key = _EvpKey(handle, self._pkey_free)
+            public = self._buffer(32)
+            size = self._size(32)
+            if self._get_public(handle, public, self._byref(size)) != 1:
+                self._clear_error()
+                raise VerificationError("libcrypto could not derive the public key")
+            if len(self._private_keys) >= _NATIVE_KEYS_MAX:
+                self._private_keys.clear()
+            self._private_keys[seed] = entry = (key, public.raw)
+        return entry
+
+    def public_key(self, seed: bytes) -> bytes:
+        return self._private(seed)[1]
+
+    def sign(self, seed: bytes, message: bytes) -> bytes:
+        key = self._private(seed)[0]
+        if type(message) is not bytes:  # c_char_p takes bytes without a copy
+            message = bytes(message)
+        signature = self._buffer(64)
+        size = self._size(64)
+        ctx = self._ctx_new()
+        if not ctx:
+            raise MemoryError("EVP_MD_CTX_new failed")
+        try:
+            ok = (
+                self._sign_init(ctx, None, None, None, key.handle) == 1
+                and self._sign(
+                    ctx, signature, self._byref(size), message, len(message)
+                ) == 1
+            )
+        finally:
+            self._ctx_free(ctx)
+        if not ok or size.value != 64:
+            self._clear_error()
+            raise VerificationError("libcrypto failed to sign")
+        return signature.raw
+
+    def verify(self, public: bytes, message: bytes, signature: bytes) -> bool:
+        if len(signature) != 64 or len(public) != 32:
+            return False
+        key = self._public_keys.get(public)
+        if key is None:
+            public = bytes(public)
+            if not _canonical_public(public):
+                return False
+            handle = self._new_public(_EVP_PKEY_ED25519, None, public, 32)
+            if not handle:
+                self._clear_error()
+                return False
+            key = _EvpKey(handle, self._pkey_free)
+            if len(self._public_keys) >= _NATIVE_KEYS_MAX:
+                self._public_keys.clear()
+            self._public_keys[public] = key
+        if type(message) is not bytes:
+            message = bytes(message)
+        if type(signature) is not bytes:
+            signature = bytes(signature)
+        ctx = self._ctx_new()
+        if not ctx:
+            raise MemoryError("EVP_MD_CTX_new failed")
+        try:
+            ok = (
+                self._verify_init(ctx, None, None, None, key.handle) == 1
+                and self._verify(ctx, signature, 64, message, len(message)) == 1
+            )
+        finally:
+            self._ctx_free(ctx)
+        if not ok:
+            self._clear_error()
+        return ok
+
+
+def _load_openssl() -> _OpenSSLBackend | None:
+    """The libcrypto backend, or None when the library or its symbols are
+    missing or it fails the known-answer self-test.
+
+    Symbols are looked up through ``_hashlib``'s handle: ``dlsym`` on a
+    handle also searches the libraries it was linked against, so this
+    reaches the libcrypto hashlib already mapped instead of loading one.
+    """
+    try:
+        import ctypes
+
+        import _hashlib
+
+        backend = _OpenSSLBackend(ctypes.CDLL(_hashlib.__file__))
+    except (ImportError, OSError, AttributeError):
+        return None
+    return backend if backend.self_test() else None
+
+
+# ------------------------------------------------------------ public API
+
+_BACKEND: _OpenSSLBackend | _ReferenceBackend | None = None
+
+
+def _backend() -> _OpenSSLBackend | _ReferenceBackend:
+    """The selected backend; chosen on first use, so importing this module
+    opens no library."""
+    global _BACKEND
+    if _BACKEND is None:
+        _BACKEND = _load_openssl() or _ReferenceBackend()
+    return _BACKEND
+
+
+def backend_name() -> str:
+    """``"openssl"`` or ``"python"``: which backend signs and verifies."""
+    return _backend().name
+
+
+def _batch_failures(verify, items: list[tuple[bytes, bytes, bytes]]) -> list[int]:
+    return [
+        index
+        for index, (public, message, signature) in enumerate(items)
+        if not verify(public, message, signature)
+    ]
+
+
+def ed25519_public_key(seed: bytes) -> bytes:
+    """Derive the 32-byte public key from a 32-byte seed."""
+    if len(seed) != 32:
+        raise VerificationError("seed must be 32 bytes")
+    return _backend().public_key(seed)
+
+
+def ed25519_sign(seed: bytes, message: bytes) -> bytes:
+    """Produce a 64-byte RFC 8032 signature (deterministic, so both
+    backends return the same bytes)."""
+    if len(seed) != 32:
+        raise VerificationError("seed must be 32 bytes")
+    return _backend().sign(seed, message)
+
+
+def ed25519_verify(public: bytes, message: bytes, signature: bytes) -> bool:
+    """Check a signature; returns False rather than raising on mismatch."""
+    return _backend().verify(public, message, signature)
+
+
 def ed25519_batch_verify(
     items: list[tuple[bytes, bytes, bytes]],
 ) -> list[int]:
-    """Verify many ``(public, message, signature)`` triples at once.
+    """Indices of the invalid ``(public, message, signature)`` items, in
+    order (empty list = all valid).
 
-    Returns the indices of invalid items (empty list = all valid).
-
-    Uses the standard random-linear-combination check: with per-item
-    64-bit coefficients ``z_i`` derived deterministically from the batch,
-
-        [sum z_i * s_i] B  ==  sum z_i * R_i  +  sum_j [sum z_i * k_i] A_j
-
-    where the right-hand inner sums are grouped per distinct signer key
-    ``A_j``. The whole right-hand side is evaluated as one multi-scalar
-    multiplication with a shared doubling chain (:func:`_multi_scalar_mult`)
-    over cached per-signer window tables, so the cost per item collapses to
-    a handful of point additions (the 64-bit ``z_i`` digits) plus one
-    full-width digit walk per *unique* signer and a single comb-table
-    base-point multiply per batch — the amortization that makes
-    block-level signature checking cheap when many transactions share
-    wallets. Falls back to individual verification to identify the
-    culprits when the combined equation fails.
+    Exactly the items :func:`ed25519_verify` rejects, checked one by one.
+    A random-linear-combination batch cannot be used: on inputs with a
+    small-order component it disagrees with the cofactorless rule (it
+    accepts a torsion-tainted R for one coefficient draw in eight).
     """
-    if not items:
-        return []
-    if len(items) == 1:
-        public, message, signature = items[0]
-        return [] if ed25519_verify(public, message, signature) else [0]
-
-    decoded: list[tuple[Point, Point, int, int] | None] = []
-    failed: list[int] = []
-    hasher = hashlib.sha512()
-    for index, (public, message, signature) in enumerate(items):
-        hasher.update(public)
-        hasher.update(hashlib.sha256(message).digest())
-        hasher.update(signature)
-        if len(signature) != 64 or len(public) != 32:
-            decoded.append(None)
-            continue
-        s = int.from_bytes(signature[32:], "little")
-        if s >= _L:
-            decoded.append(None)
-            continue
-        try:
-            a_point = _decode_public(public)
-            r_point = _decode_point(signature[:32])
-        except VerificationError:
-            decoded.append(None)
-            continue
-        k = _sha512_int(signature[:32], public, message) % _L
-        decoded.append((a_point, r_point, s, k))
-    seed = hasher.digest()
-
-    coefficients: list[int] = []
-    for index in range(len(items)):
-        z_bytes = hashlib.sha512(seed + index.to_bytes(8, "big")).digest()
-        coefficients.append(1 + (int.from_bytes(z_bytes[:8], "little") & (2**63 - 1)))
-
-    s_total = 0
-    per_signer: dict[bytes, int] = {}
-    pairs: list[tuple[int, list[Point]]] = []
-    usable = []
-    for index, entry in enumerate(decoded):
-        if entry is None:
-            failed.append(index)
-            continue
-        usable.append(index)
-        _a_point, r_point, s, k = entry
-        z = coefficients[index]
-        s_total = (s_total + z * s) % _L
-        pairs.append((z, _odd_table(r_point, 1 << (_ITEM_WNAF_WIDTH - 2))))
-        public = items[index][0]
-        per_signer[public] = (per_signer.get(public, 0) + z * k) % _L
-    if not usable:
-        return failed
-    niels_pairs = [
-        (scalar, _signer_table(public))
-        for public, scalar in per_signer.items()
-    ]
-    right = _multi_scalar_mult(pairs, niels_pairs)
-    left = _base_mult(s_total)
-    x1, y1, z1, _ = left
-    x2, y2, z2, _ = right
-    if (x1 * z2 - x2 * z1) % _Q == 0 and (y1 * z2 - y2 * z1) % _Q == 0:
-        return failed
-
-    # The combined equation failed: at least one usable item is forged.
-    for index in usable:
-        public, message, signature = items[index]
-        if not ed25519_verify(public, message, signature):
-            failed.append(index)
-    return sorted(failed)
-
+    return _batch_failures(_backend().verify, items)
 
 # ------------------------------------------------------------- key pairs
 

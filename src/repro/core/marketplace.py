@@ -41,6 +41,7 @@ from repro.common.errors import (
     DebugletError,
     LedgerUnavailable,
     SessionStalled,
+    VerificationError,
 )
 from repro.common.ids import ObjectId
 from repro.common.rng import derive_rng
@@ -329,7 +330,9 @@ class ExecutorAgent:
                     obs.metrics.counter(
                         "marketplace_publications_total", status="failed"
                     ).inc()
-        except ChainError as exc:
+        except (ChainError, VerificationError) as exc:
+            # Reverted by the contract, or refused by the ledger because
+            # the transaction's signature does not verify.
             self.failed_publications.append((application_id, str(exc)))
             if obs is not None:
                 obs.metrics.counter(

@@ -10,6 +10,18 @@ would wedge its still-pending sessions mid-test.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
+from repro.chain.crypto import (
+    _L,
+    KeyPair,
+    _base_mult,
+    _decode_point,
+    _encode_point,
+    _expand_seed,
+    _point_add,
+    _sha512_int,
+)
 from repro.chain.gas import sui_to_mist
 from repro.chaos import ChaosInjector
 from repro.core import DebugletApplication
@@ -74,8 +86,12 @@ def run_echo_session(
     count: int = 8,
     port: int = PORT,
     timeout_us: int = 1_000_000,
+    **request,
 ):
-    """Request, run to completion, and return one echo session."""
+    """Request, run to completion, and return one echo session.
+
+    ``request`` passes through to ``request_measurement`` (e.g. a
+    ``deadline_margin``)."""
     path = testbed.chain.registry.shortest(client_v[0], server_v[0])
     server_app = DebugletApplication.from_stock(
         "srv",
@@ -96,7 +112,7 @@ def run_echo_session(
         path=path.as_list(),
     )
     session = testbed.initiator.request_measurement(
-        client_app, server_app, client_v, server_v, duration=30.0,
+        client_app, server_app, client_v, server_v, duration=30.0, **request,
     )
     testbed.initiator.run_until_done(
         session, testbed.chain.simulator, timeout=3600.0
@@ -134,3 +150,48 @@ def mechanisms(convictions) -> set:
 
 def market_key(vantage) -> str:
     return f"{vantage[0]}:{vantage[1]}"
+
+
+# ----------------------------------------------------------- torsion forger
+
+#: The order-8 point a torsion forger adds to its nonce commitment R.
+TORSION_POINT = bytes.fromhex(
+    "26e8958fc2b227b045c3f489f2ef98f0d5dfac05d3c63339b13802886d53fc05"
+)
+
+
+@dataclass(frozen=True)
+class TorsionKeyPair(KeyPair):
+    """A key pair that signs with R moved by an order-8 point.
+
+    S is computed for the moved R, so ``[S]B - [k]A - R`` is the torsion
+    point: a cofactored check, or a random-linear-combination batch whose
+    coefficient happens to be a multiple of 8, accepts the signature, and
+    the cofactorless rule (DESIGN.md §11) rejects it every time.
+    """
+
+    def sign(self, message: bytes) -> bytes:
+        a, prefix, public = _expand_seed(self.seed)
+        r = _sha512_int(prefix, message) % _L
+        moved = _encode_point(
+            _point_add(_base_mult(r), _decode_point(TORSION_POINT))
+        )
+        k = _sha512_int(moved, public, message) % _L
+        return moved + ((r + k * a) % _L).to_bytes(32, "little")
+
+
+def corrupt_with_torsion(testbed, vantage=BYZANTINE_VANTAGE, *,
+                         transactions: bool = True) -> TorsionKeyPair:
+    """Turn the executor at ``vantage`` into a torsion forger, from now on.
+
+    Its certificates always carry torsion-tainted signatures; with
+    ``transactions`` its wallet signs its ledger transactions (the
+    ``result_ready`` publications that collect payment) the same way.
+    Registration and stake happened honestly, with the same key.
+    """
+    executor = testbed.fleet.get(*vantage)
+    forger = TorsionKeyPair(executor.keypair.seed, executor.keypair.public)
+    executor.keypair = forger
+    if transactions:
+        testbed.agents[vantage].wallet.keypair = forger
+    return forger

@@ -5,6 +5,10 @@ installed (the ``timeout`` ini key in pyproject.toml would be inert), a
 SIGALRM-based hook enforces the same per-test wall-clock ceiling so a
 hung simulator loop fails fast instead of wedging the run. The real
 plugin, when present, takes precedence untouched.
+
+Perf guards record their wall-clock rows to the tracked ``BENCH_*.json``
+files only under ``--record-bench`` (the ``record_bench`` fixture), so a
+plain test run leaves the checkout unmodified.
 """
 
 from __future__ import annotations
@@ -16,15 +20,22 @@ import threading
 import pytest
 
 from repro.netsim import Link, Network, Protocol, Simulator, Topology
+from repro.perf import benchstore
 
 ALL_PROTOCOLS = (Protocol.UDP, Protocol.TCP, Protocol.ICMP, Protocol.RAW_IP)
 
 _HAVE_PYTEST_TIMEOUT = importlib.util.find_spec("pytest_timeout") is not None
 _CAN_ALARM = hasattr(signal, "SIGALRM")
 
-if not _HAVE_PYTEST_TIMEOUT:
 
-    def pytest_addoption(parser):
+def pytest_addoption(parser):
+    parser.addoption(
+        "--record-bench",
+        action="store_true",
+        default=False,
+        help="append perf-guard rows to the tracked BENCH_*.json files",
+    )
+    if not _HAVE_PYTEST_TIMEOUT:
         parser.addini(
             "timeout",
             "default per-test timeout in seconds (pytest-timeout fallback)",
@@ -36,6 +47,22 @@ if not _HAVE_PYTEST_TIMEOUT:
             default=None,
             help="per-test timeout in seconds (pytest-timeout fallback)",
         )
+
+
+@pytest.fixture
+def record_bench(request):
+    """``record_bench(name, rows)`` appends ``rows`` to ``BENCH_<name>.json``
+    under ``--record-bench`` and does nothing otherwise."""
+    enabled = request.config.getoption("--record-bench")
+
+    def record(bench_name: str, rows: list[dict]) -> None:
+        if enabled:
+            benchstore.append_rows(bench_name, rows)
+
+    return record
+
+
+if not _HAVE_PYTEST_TIMEOUT:
 
     def _timeout_for(item) -> float | None:
         marker = item.get_closest_marker("timeout")

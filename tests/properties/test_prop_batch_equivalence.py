@@ -10,6 +10,7 @@ marketplace calls on the simulator clock against both modes and compares
 the complete observable outcome.
 """
 
+import re
 from dataclasses import replace
 
 import pytest
@@ -17,11 +18,21 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.chain import KeyPair, Ledger, Transaction, Wallet, sui_to_mist
+from repro.chain.crypto import _L, _base_mult, _encode_point, _point_add
 from repro.chain.events import Event
 from repro.chaos import ChaosInjector
 from repro.common.errors import ChainError, VerificationError
 from repro.contracts.debuglet_market import DebugletMarket, ExecutionSlot
 from repro.netsim.engine import Simulator
+
+from tests.properties.signature_cases import (
+    IDENTITY_SIGN_BIT,
+    SMALL_ORDER,
+    TORSION,
+    Y_PLUS_P,
+    keyless,
+    sign_with_r,
+)
 
 BLOCK_WINDOW = 0.5
 FINALITY = 0.2
@@ -222,3 +233,112 @@ def test_event_delivery_order_is_stable_under_indexing():
         )
     )
     assert calls == ["broad", "a", "broad2", "a2"]
+
+
+# ------------------------------------------------------ under attack
+
+#: How a transaction's signature is tampered with (DESIGN.md §11 rule):
+#: R moved by a small-order point, R as the identity with its sign bit
+#: set, S + L, or one flipped bit.
+TAINTS = ("none", "torsion_r", "r_x0_sign_bit", "s_plus_l", "flipped")
+
+#: Senders: two honest keys, plus keys no one holds a scalar for — the
+#: identity encoded canonically (the cofactorless equation holds for any
+#: keyless signature, so both ledgers accept it), with its sign bit set,
+#: and as y + p (both non-canonical, so both ledgers reject).
+SENDERS = ("honest-0", "honest-1", "identity", "identity-sign-bit", "identity-y+p")
+
+ATTACKS = st.lists(
+    st.tuples(
+        st.sampled_from(SENDERS),
+        st.sampled_from(TAINTS),
+        st.integers(min_value=1, max_value=2**64),
+    ),
+    min_size=1,
+    max_size=6,
+)
+
+
+def _sender_keys() -> dict:
+    keys = {
+        f"honest-{i}": KeyPair.deterministic(f"attack-{i}") for i in range(2)
+    }
+    for name, public in (
+        ("identity", SMALL_ORDER[-1]),
+        ("identity-sign-bit", IDENTITY_SIGN_BIT),
+        ("identity-y+p", Y_PLUS_P[0]),
+    ):
+        keys[name] = KeyPair(seed=b"", public=public)
+    return keys
+
+
+def _attack_signature(keypair: KeyPair, payload: bytes, taint: str, pick: int) -> bytes:
+    if not keypair.seed:
+        return keyless(keypair.public, payload, pick % _L)[2]
+    if taint == "torsion_r":
+        moved = _point_add(_base_mult(pick), TORSION[pick % 7])
+        return sign_with_r(keypair.seed, payload, pick, _encode_point(moved))[2]
+    if taint == "r_x0_sign_bit":
+        return sign_with_r(keypair.seed, payload, 0, IDENTITY_SIGN_BIT)[2]
+    signature = keypair.sign(payload)
+    if taint == "s_plus_l":
+        s = int.from_bytes(signature[32:], "little") + _L
+        return signature[:32] + s.to_bytes(32, "little")
+    if taint == "flipped":
+        flipped = bytearray(signature)
+        flipped[pick % 64] ^= 1 << (pick % 8)
+        return bytes(flipped)
+    return signature
+
+
+def _rejected_under(mode: str, attacks) -> list[int]:
+    """Submit the attack plan to one ledger; positions it rejects."""
+    ledger = Ledger(finality_latency=FINALITY, num_shards=4)
+    ledger.register_contract(DebugletMarket())
+    keys = _sender_keys()
+    for keypair in keys.values():
+        ledger.create_account(keypair, balance=sui_to_mist(10))
+    if mode == "batched":
+        ledger.begin_block()
+    rejected = []
+    for position, (sender, taint, pick) in enumerate(attacks):
+        keypair = keys[sender]
+        unsigned = Transaction(
+            sender=keypair.address,
+            contract="debuglet_market",
+            function="register_executor",
+            args=(10 + position, 1),
+            nonce=ledger.next_nonce(keypair.address),
+            gas_budget=Wallet.DEFAULT_GAS_BUDGET,
+            public_key=keypair.public,
+        )
+        signature = _attack_signature(
+            keypair, unsigned.signing_payload(), taint, pick
+        )
+        try:
+            ledger.submit(replace(unsigned, signature=signature))
+        except VerificationError:
+            rejected.append(position)
+    if mode == "serial":
+        ledger.verify_chain()
+        return rejected
+    assert rejected == []  # block mode defers the curve check to the seal
+    try:
+        ledger.flush_block()
+    except VerificationError as exc:
+        return [int(p) for p in re.findall(r"register_executor#\d+\+(\d+)", str(exc))]
+    ledger.verify_chain()
+    return []
+
+
+class TestBatchEquivalenceUnderAttack:
+    @given(ATTACKS)
+    @settings(max_examples=25, deadline=None)
+    def test_serial_and_batched_reject_the_same_transactions(self, attacks):
+        serial = _rejected_under("serial", attacks)
+        assert _rejected_under("batched", attacks) == serial
+        for position, (sender, taint, _pick) in enumerate(attacks):
+            honest = sender == "identity" or (
+                sender.startswith("honest") and taint == "none"
+            )
+            assert (position not in serial) == honest, (sender, taint)

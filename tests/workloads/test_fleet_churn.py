@@ -21,7 +21,6 @@ from repro.core.fleetmgr import ExecutorState
 from repro.core.placement import STRATEGIES, evaluate_strategies, synthetic_candidates
 from repro.obs import Observability
 from repro.obs.export import to_prometheus
-from repro.perf import benchstore
 from repro.workloads import LoadgenConfig, build_loadgen, run_loadgen
 
 pytestmark = pytest.mark.fleet
@@ -165,10 +164,8 @@ class TestChurnDeterminism:
 # ----------------------------------------------------------- perf guard
 
 
-def _record_bench(rows: list[dict]) -> None:
-    benchstore.append_rows("fleet", rows)
 @pytest.mark.perf_smoke
-def test_churn_bench_records_fleet_json(churn_run):
+def test_churn_bench_records_fleet_json(churn_run, record_bench):
     """Append the churn numbers and the placement coverage/cost rows to
     BENCH_fleet.json, asserting the headline comparison on the way:
     border-router co-location localizes strictly better (smaller mean
@@ -201,5 +198,5 @@ def test_churn_bench_records_fleet_json(churn_run):
     # At the three-hire budget the ordering must be strict.
     plans = evaluate_strategies(n_ases, pool, budget=300, seed=3)
     assert plans["border"].mean_suspect_set < plans["random"].mean_suspect_set
-    _record_bench(rows)
+    record_bench("fleet", rows)
     assert report["sessions_per_sec"] > 2.0, report

@@ -11,7 +11,6 @@ baseline. The real >=5x assertion at full scale lives in
 import pytest
 
 from repro.obs import Observability
-from repro.perf import benchstore
 from repro.obs.export import to_prometheus
 from repro.workloads import LoadgenConfig, build_loadgen, run_loadgen
 
@@ -78,10 +77,8 @@ def test_loadgen_chain_verifies():
 # ----------------------------------------------------------- perf guard
 
 
-def _record_bench(rows: list[dict]) -> None:
-    benchstore.append_rows("scale", rows)
 @pytest.mark.perf_smoke
-def test_batched_ledger_beats_serial_on_small_fleet():
+def test_batched_ledger_beats_serial_on_small_fleet(record_bench):
     """Smoke-scale guard for the scale bench: batched must already be
     ahead of serial at a few hundred sessions (the full-scale bench in
     BENCH_scale.json asserts the real >=5x at 12k sessions, where per-tx
@@ -94,7 +91,7 @@ def test_batched_ledger_beats_serial_on_small_fleet():
         "blocks_sealed": batched["deterministic"]["blocks_sealed"],
         "checkpoints": batched["deterministic"]["checkpoints"],
     }
-    _record_bench([
+    record_bench("scale", [
         {k: row[k] for k in ("mode", "wall_seconds", "sessions_per_sec",
                              "ledger_txs_per_sec")}
         | {"sessions": scale["sessions"], "tier": "perf_smoke"}
@@ -118,7 +115,7 @@ def test_loadgen_audit_mode_observes_and_samples():
 
 
 @pytest.mark.perf_smoke
-def test_audit_overhead_stays_under_ten_percent():
+def test_audit_overhead_stays_under_ten_percent(record_bench):
     """Acceptance guard: fleet-scale auditing (25% sampling, window
     checks + batch signature verification) costs <10% sessions/sec.
     Recorded in BENCH_scale.json alongside the ledger rows. Both runs
@@ -138,7 +135,7 @@ def test_audit_overhead_stays_under_ten_percent():
         plain["deterministic"]["certified"]
     )
     assert audited["deterministic"]["audit"]["window_violations"] == 0
-    _record_bench([
+    record_bench("scale", [
         {
             "mode": row["mode"],
             "wall_seconds": row["wall_seconds"],

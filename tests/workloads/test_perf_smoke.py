@@ -10,7 +10,6 @@ import time
 import pytest
 
 from repro.netsim.packet import Protocol
-from repro.perf import benchstore
 from repro.workloads.wan import WanScenario
 
 
@@ -36,10 +35,8 @@ def test_fast_path_beats_event_driven_on_small_study():
         assert event["frankfurt"][protocol].sent == probes
 
 
-def _record_bench(rows: list[dict]) -> None:
-    benchstore.append_rows("obs", rows)
 @pytest.mark.perf_smoke
-def test_observability_disabled_overhead_under_5_percent():
+def test_observability_disabled_overhead_under_5_percent(record_bench):
     """The observability overhead guard (DESIGN.md §9).
 
     With a disabled bundle attached (null recorders), the Table I fast
@@ -61,7 +58,7 @@ def test_observability_disabled_overhead_under_5_percent():
     detached = min(run_study(None) for _ in range(repeats))
     disabled = min(run_study(Observability.disabled()) for _ in range(repeats))
 
-    _record_bench([
+    record_bench("obs", [
         {"name": "table1-fast-detached", "seconds": round(detached, 4),
          "probes_per_cell": probes, "repeats": repeats},
         {"name": "table1-fast-obs-disabled", "seconds": round(disabled, 4),

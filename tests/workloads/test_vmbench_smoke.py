@@ -15,15 +15,12 @@ Cheap guards that run inside the tier-1 suite (selectable with
 
 import pytest
 
-from repro.perf import benchstore
 from repro.perf.vmbench import run_suite
 
 pytestmark = pytest.mark.perf_smoke
 
 
-def _record_bench(rows: list[dict]) -> None:
-    benchstore.append_rows("vm", rows)
-def test_compiled_tier_speedup_and_host_call_parity():
+def test_compiled_tier_speedup_and_host_call_parity(record_bench):
     """One measured pass over both guard workloads, recorded to
     ``BENCH_vm.json``. Small scale keeps this inside tier-1 budget;
     min-of-N timing (inside ``run_suite``) absorbs scheduler noise."""
@@ -31,7 +28,7 @@ def test_compiled_tier_speedup_and_host_call_parity():
         scale=0.2, repeats=3, workloads=("tight_loop", "host_heavy")
     )
     by_key = {(row["name"], row["tier"]): row for row in rows}
-    _record_bench([dict(row, kind="smoke") for row in rows])
+    record_bench("vm", [dict(row, kind="smoke") for row in rows])
 
     # Interpreter-bound: loose 2x smoke bound (full-scale bench shows
     # >=5x; 2x here guards against the tier quietly falling back to the

@@ -23,7 +23,6 @@ import pytest
 
 import repro
 from repro.common.errors import ConfigurationError
-from repro.perf import benchstore
 from repro.workloads.wanbench import (
     WanbenchConfig,
     build_continent,
@@ -157,7 +156,7 @@ class TestEpisodeWindows:
 
 
 @pytest.mark.perf_smoke
-def test_fast_path_beats_event_driven_campaign(smoke_summary):
+def test_fast_path_beats_event_driven_campaign(smoke_summary, record_bench):
     event = smoke_summary["outcomes"]["event"]
     fast = smoke_summary["outcomes"]["fast"]
     # Loose smoke bound (>=3x at 120 ASes); the >=10x acceptance number
@@ -176,4 +175,4 @@ def test_fast_path_beats_event_driven_campaign(smoke_summary):
     rows[-1]["speedup_fast_over_event"] = round(
         smoke_summary["speedup_fast_over_event"], 2
     )
-    benchstore.append_rows("wan", rows)
+    record_bench("wan", rows)
